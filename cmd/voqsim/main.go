@@ -22,11 +22,6 @@
 //	-mcfrac 0.5         multicast fraction (mixed)
 //	-slots 200000       simulated slots
 //	-seed 1             run seed
-//	-parallel W         step fabric nodes on W worker goroutines
-//	                    (requires -topology). The parallel engine is
-//	                    byte-identical to the sequential one, so every
-//	                    other flag — -check, -checkpoint, -resume,
-//	                    -trace — composes with it unchanged.
 //	-fast               relaxed-identity fast mode: O(1) alias/Floyd/
 //	                    geometric traffic sampling and batched statistics
 //	                    (DESIGN.md §12); statistically equivalent to the
@@ -93,7 +88,6 @@ func main() {
 		mcFrac    = flag.Float64("mcfrac", 0.5, "multicast fraction of arrivals (mixed)")
 		slots     = flag.Int64("slots", 200_000, "simulated slots")
 		seed      = flag.Uint64("seed", 1, "run seed")
-		parallel  = flag.Int("parallel", 0, "fabric worker goroutines (requires -topology; results are byte-identical to sequential)")
 		fast      = flag.Bool("fast", false, "relaxed-identity fast mode (no -check/-checkpoint/-resume)")
 		ckptPath  = flag.String("checkpoint", "", "atomically save a resume snapshot to this file during the run")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "snapshot cadence in slots (default slots/10 with -checkpoint)")
@@ -166,7 +160,6 @@ func main() {
 		Slots:     *slots,
 		Seed:      *seed,
 		Fast:      *fast,
-		Parallel:  *parallel,
 	}
 	var report voqsim.Report
 	if *ckptPath != "" || *resumePth != "" {

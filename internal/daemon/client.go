@@ -164,9 +164,7 @@ type Receiver struct {
 	delayMax  atomic.Int64
 	perOut    []atomic.Int64
 
-	// OnFrame, when set before any frame arrives, observes every
-	// valid delivery frame from the receiver goroutine.
-	OnFrame func(Delivery)
+	onFrame func(Delivery) // fixed before the read loop starts
 
 	done chan struct{}
 }
@@ -182,8 +180,11 @@ type ReceiverStats struct {
 }
 
 // NewReceiver binds an ephemeral loopback socket sized for n outputs
-// and starts reading. Close releases it.
-func NewReceiver(n int) (*Receiver, error) {
+// and starts reading. A non-nil onFrame observes every valid delivery
+// frame on the receiver goroutine, after the frame is counted; it is
+// fixed here, before the goroutine starts, so it needs no
+// synchronization of its own. Close releases the receiver.
+func NewReceiver(n int, onFrame func(Delivery)) (*Receiver, error) {
 	addr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:0")
 	conn, err := net.ListenUDP("udp", addr)
 	if err != nil {
@@ -191,10 +192,11 @@ func NewReceiver(n int) (*Receiver, error) {
 	}
 	conn.SetReadBuffer(4 << 20)
 	r := &Receiver{
-		conn:   conn,
-		n:      n,
-		perOut: make([]atomic.Int64, n),
-		done:   make(chan struct{}),
+		conn:    conn,
+		n:       n,
+		perOut:  make([]atomic.Int64, n),
+		onFrame: onFrame,
+		done:    make(chan struct{}),
 	}
 	go r.loop()
 	return r, nil
@@ -235,8 +237,8 @@ func (r *Receiver) loop() {
 				break
 			}
 		}
-		if r.OnFrame != nil {
-			r.OnFrame(d)
+		if r.onFrame != nil {
+			r.onFrame(d)
 		}
 	}
 }

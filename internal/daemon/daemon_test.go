@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -121,11 +122,6 @@ func TestLoopbackMirrorsSimulator(t *testing.T) {
 		EgressBacklog:  4096,
 	})
 
-	recv, err := daemon.NewReceiver(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
 	type obsKey struct {
 		src int
 		seq uint64
@@ -136,17 +132,29 @@ func TestLoopbackMirrorsSimulator(t *testing.T) {
 		slot    int64
 		last    bool
 	}
-	observed := map[obsKey]obsVal{}
+	// onFrame runs on the receiver goroutine, after the frame counter
+	// WaitFrames polls has moved: guard its state with obsMu and let
+	// obsCh wake the test when a frame lands.
+	var (
+		obsMu    sync.Mutex
+		observed = map[obsKey]obsVal{}
+		obsN     int64
+	)
 	obsCh := make(chan struct{}, 1)
-	var obsN int
-	recv.OnFrame = func(dv daemon.Delivery) {
+	recv, err := daemon.NewReceiver(n, func(dv daemon.Delivery) {
+		obsMu.Lock()
 		observed[obsKey{dv.Src, dv.Seq, dv.Out}] = obsVal{dv.Arrival, dv.Slot, dv.Last}
 		obsN++
+		obsMu.Unlock()
 		select {
 		case obsCh <- struct{}{}:
 		default:
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer recv.Close()
 	if err := d.Subscribe(-1, recv.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +195,23 @@ func TestLoopbackMirrorsSimulator(t *testing.T) {
 	if got := recv.WaitFrames(m.Daemon.Delivered, 10*time.Second); got != m.Daemon.Delivered {
 		t.Fatalf("receiver saw %d of %d delivered copies", got, m.Daemon.Delivered)
 	}
+	deadline := time.After(10 * time.Second)
+	for {
+		obsMu.Lock()
+		seen := obsN
+		obsMu.Unlock()
+		if seen >= m.Daemon.Delivered {
+			break
+		}
+		select {
+		case <-obsCh:
+		case <-deadline:
+			t.Fatalf("OnFrame observed %d of %d delivered copies", seen, m.Daemon.Delivered)
+		}
+	}
+	// Hold obsMu for the rest of the test: observed is read below.
+	obsMu.Lock()
+	defer obsMu.Unlock()
 	rs := recv.Stats()
 	if rs.Bad != 0 {
 		t.Fatalf("%d invalid egress frames", rs.Bad)
@@ -492,7 +517,7 @@ func TestCheckpointRestoreResumesExactly(t *testing.T) {
 		t.Fatalf("resumed at slot %d, checkpoint was at %d", got, ckptSlot)
 	}
 
-	recvB, err := daemon.NewReceiver(n)
+	recvB, err := daemon.NewReceiver(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 	"voqsim/internal/switchsim"
 )
 
-// The sharded run engine behind Sweep.Run and Replicate. Both fan a
-// set of independent simulations — grid points, replications — out
+// The sharded run engine behind Sweep.Run. It fans a set of
+// independent simulations — grid points and their replications — out
 // over a worker pool; the engine owns the scheduling so that:
 //
 //   - Work is balanced by stealing. Shards are dealt round-robin into
@@ -96,8 +96,8 @@ func runShards(workers, total int, progress func(Progress), run func(shard int, 
 
 	start := time.Now()
 	pool := &core.ArenaPool{}
-	var done atomic.Int64
 	var progressMu sync.Mutex
+	done := 0 // guarded by progressMu
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -115,15 +115,18 @@ func runShards(workers, total int, progress func(Progress), run func(shard int, 
 				if progress == nil {
 					continue
 				}
-				d := done.Add(1)
+				// Count and time the completion under the lock, so the
+				// sink sees Done rise by one per event and Elapsed never
+				// go backwards.
+				progressMu.Lock()
+				done++
 				elapsed := time.Since(start)
 				var eta time.Duration
-				if rem := int64(total) - d; rem > 0 {
-					eta = elapsed / time.Duration(d) * time.Duration(rem)
+				if rem := total - done; rem > 0 {
+					eta = elapsed / time.Duration(done) * time.Duration(rem)
 				}
-				progressMu.Lock()
 				progress(Progress{
-					Done:    int(d),
+					Done:    done,
 					Total:   total,
 					Label:   label,
 					Elapsed: elapsed,

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"voqsim/internal/traffic"
@@ -149,47 +148,4 @@ func TestSweepCheckpointDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	tablesEqual(t, "corrupt snapshot", got, want)
-}
-
-func TestReplicateConfigDefaults(t *testing.T) {
-	cases := []struct {
-		name string
-		in   ReplicateConfig
-		want ReplicateConfig
-	}{
-		{"zeros take defaults", ReplicateConfig{},
-			ReplicateConfig{Replications: 10, Slots: 50_000, Seed: 2004}},
-		{"explicit values kept", ReplicateConfig{Replications: 3, Slots: 1234, Seed: 9, Workers: 2},
-			ReplicateConfig{Replications: 3, Slots: 1234, Seed: 9, Workers: 2}},
-		{"non-positive replications default", ReplicateConfig{Replications: -4},
-			ReplicateConfig{Replications: 10, Slots: 50_000, Seed: 2004}},
-		{"negative slots preserved for validation", ReplicateConfig{Slots: -1},
-			ReplicateConfig{Replications: 10, Slots: -1, Seed: 2004}},
-		{"negative workers preserved (GOMAXPROCS at run time)", ReplicateConfig{Workers: -3},
-			ReplicateConfig{Replications: 10, Slots: 50_000, Seed: 2004, Workers: -3}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := tc.in.withDefaults()
-			// ReplicateConfig holds func fields, so compare the
-			// defaulted scalars individually.
-			if got.Replications != tc.want.Replications || got.Slots != tc.want.Slots ||
-				got.Seed != tc.want.Seed || got.Workers != tc.want.Workers {
-				t.Fatalf("withDefaults(%+v) = %+v, want %+v", tc.in, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestReplicateRejectsNegativeSlots(t *testing.T) {
-	_, err := Replicate(ReplicateConfig{
-		Algorithm: FIFOMS, N: 4, Slots: -5,
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, 0.25, n)
-		},
-		Load: 0.3,
-	})
-	if err == nil || !strings.Contains(err.Error(), "negative slot budget") {
-		t.Fatalf("negative Slots accepted: %v", err)
-	}
 }

@@ -42,20 +42,6 @@ type Config struct {
 	// pushing congestion upstream (and eventually into counted drops)
 	// instead of growing interior queues without bound. Zero means 64.
 	MaxInputCells int
-	// Workers is the number of goroutines stepping fabric nodes within
-	// each slot. 0 and 1 mean fully sequential stepping in the calling
-	// goroutine — the historical engine, untouched. For any value the
-	// delivery stream, statistics and snapshots are byte-identical:
-	// nodes step in parallel into private per-node buffers and the
-	// deliveries are merged in node order (see parallel.go). A fabric
-	// with Workers > 1 owns goroutines; Close it when done.
-	Workers int
-	// Shards is the number of work-stealing units the node set is
-	// split into when Workers > 1: shard s owns nodes s, s+Shards,
-	// s+2·Shards, … Zero (the default) means one shard per node —
-	// maximal stealing granularity. Shards never affects results, only
-	// load balance.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -153,11 +139,6 @@ type Fabric struct {
 	pools    [][]*cell.Packet // per node local-packet pool
 	leafPool []*destset.Set   // egress-universe set pool
 
-	// Parallel stepping (nil/empty when cfg.Workers <= 1); parallel.go.
-	par    *parPool
-	parBuf [][]cell.Delivery     // per node, reused slot to slot
-	parFns []func(cell.Delivery) // per node append-to-buffer callbacks
-
 	slot    int64
 	outer   func(cell.Delivery)
 	release func(*cell.Packet)
@@ -218,9 +199,6 @@ func New(top *Topology, cfg Config, newNode func(ports int, root *xrand.Rand) No
 	}
 	for i := range f.links {
 		f.links[i].buf = make([]linkEntry, cfg.LinkCapacity)
-	}
-	if cfg.Workers > 1 {
-		f.startWorkers()
 	}
 	return f, nil
 }
@@ -363,12 +341,8 @@ func (f *Fabric) Step(slot int64, deliver func(cell.Delivery)) {
 		f.admitLocal(to.Node, head.fabID, head.leaves, head.hops, to.Port, slot)
 		lk.pop()
 	}
-	if f.par != nil {
-		f.stepNodesParallel(slot)
-	} else {
-		for i, nd := range f.nodes {
-			nd.Step(slot, f.nodeFns[i])
-		}
+	for i, nd := range f.nodes {
+		nd.Step(slot, f.nodeFns[i])
 	}
 	f.outer = nil
 }

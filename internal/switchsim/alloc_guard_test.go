@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ import (
 // pressure back into every sweep.
 func TestSlotZeroAllocs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("benchmark-backed guard")
+		t.Skip("long warm-ups at n=256")
 	}
 	for _, tc := range []struct {
 		n    int
@@ -28,16 +29,34 @@ func TestSlotZeroAllocs(t *testing.T) {
 		}
 		tc := tc
 		t.Run(name, func(t *testing.T) {
-			res := testing.Benchmark(func(b *testing.B) { benchSlot(b, tc.n, tc.fast) })
-			if a := res.AllocsPerOp(); a != 0 {
-				t.Fatalf("steady-state slot at %s: %d allocs/op (%d B/op), want 0",
-					name, a, res.AllocedBytesPerOp())
+			// A fixed warm-up and a fixed measured window, so the
+			// result cannot depend on how many iterations an adaptive
+			// benchmark happens to pick.
+			const measured = 1000
+			warm := warmSlotsFor(tc.n)
+			r := slotBenchRunner(tc.n, warm+measured+2, tc.fast)
+			for slot := int64(0); slot < warm; slot++ {
+				r.tick(slot, 0)
+			}
+			slot := warm
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(measured, func() {
+				r.tick(slot, 0)
+				slot++
+			})
+			runtime.ReadMemStats(&after)
+			// AllocsPerRun makes one extra, unmeasured call.
+			bytes := (after.TotalAlloc - before.TotalAlloc) / (measured + 1)
+			if allocs != 0 {
+				t.Fatalf("steady-state slot at %s: %.2f allocs/op (%d B/op), want 0",
+					name, allocs, bytes)
 			}
 			// A handful of bytes/op can legitimately appear from amortized
 			// ring growth while the backlog still drifts; whole allocations
 			// per op may not. Keep a small ceiling on the bytes too so a
 			// genuine per-slot allocation cannot hide below 1 alloc/op.
-			if bytes := res.AllocedBytesPerOp(); bytes > 16 {
+			if bytes > 16 {
 				t.Fatalf("steady-state slot at %s: %d B/op, want <= 16", name, bytes)
 			}
 		})

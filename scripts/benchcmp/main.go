@@ -18,7 +18,7 @@
 //
 // -scaling reads a single file and reports per-core scaling instead of
 // a regression diff: benchmarks whose name carries a /workers=K
-// sub-benchmark (e.g. BenchmarkFabricSlotParallel/workers=4) are
+// sub-benchmark (e.g. BenchmarkReplicatedSweep/workers=4) are
 // grouped, and each worker count is compared against the group's
 // workers=1 row — speedup (t1/tK) and parallel efficiency
 // (speedup/K). Groups without a workers=1 baseline are listed without

@@ -220,13 +220,6 @@ type Config struct {
 	// agree with the default path up to sampling error, but the run
 	// is not bit-comparable, and checkpoint/resume is unavailable.
 	Fast bool
-	// Parallel steps the fabric's nodes on that many worker goroutines
-	// within each slot (DESIGN.md §16). Requires a Topology — a single
-	// switch has no intra-slot parallelism to exploit. Unlike Fast,
-	// Parallel never changes results: the report, every delivery and
-	// every checkpoint blob are byte-identical to a sequential run.
-	// 0 and 1 mean sequential.
-	Parallel int
 }
 
 // Report is the outcome of one run: the four statistics of the paper's
@@ -352,9 +345,6 @@ func buildRunner(cfg Config) (*switchsim.Runner, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	if cfg.Parallel > 1 && cfg.Topology == "" {
-		return nil, "", fmt.Errorf("voqsim: Parallel needs a Topology; a single switch steps sequentially")
-	}
 	if cfg.Topology != "" {
 		top, err := fabric.ParseSpec(cfg.Topology)
 		if err != nil {
@@ -367,7 +357,7 @@ func buildRunner(cfg Config) (*switchsim.Runner, string, error) {
 			return nil, "", fmt.Errorf("voqsim: Ports %d does not match the %d external ports of topology %s",
 				cfg.Ports, top.Ingress(), top.Name())
 		}
-		if algo, err = experiment.WithTopology(algo, top, fabric.Config{Workers: cfg.Parallel}); err != nil {
+		if algo, err = experiment.WithTopology(algo, top, fabric.Config{}); err != nil {
 			return nil, "", err
 		}
 	}
@@ -384,14 +374,6 @@ func buildRunner(cfg Config) (*switchsim.Runner, string, error) {
 	return switchsim.New(sw, pat, engineCfg, seedRoot.Split("traffic", 0)), algo.Name, nil
 }
 
-// closeRunner releases any goroutines the runner's switch owns (the
-// parallel fabric's worker pool); a no-op for everything else.
-func closeRunner(r *switchsim.Runner) {
-	if c, ok := r.Switch().(interface{ Close() error }); ok {
-		c.Close()
-	}
-}
-
 // Run simulates one switch under one traffic pattern and returns its
 // report. The run is fully determined by cfg.
 func Run(cfg Config) (Report, error) {
@@ -399,7 +381,6 @@ func Run(cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	defer closeRunner(runner)
 	return toReport(runner.Run(name)), nil
 }
 
@@ -427,7 +408,6 @@ func RunResumable(cfg Config, resumeFrom []byte, every int64, sink CheckpointFun
 	if err != nil {
 		return Report{}, err
 	}
-	defer closeRunner(runner)
 	if every > 0 {
 		// Fail before simulating, not at the first checkpoint.
 		if err := runner.Snapshottable(); err != nil {

@@ -2,7 +2,6 @@ package voqsim
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -62,37 +61,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("same config, different reports:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestRunParallelIdentity pins the facade's multicore contract: a
-// fabric run with Parallel workers returns the same report as the
-// sequential run, and Parallel without a Topology is a config error.
-func TestRunParallelIdentity(t *testing.T) {
-	cfg := Config{
-		Scheduler: FIFOMS,
-		Topology:  "fattree:k=4",
-		Traffic:   BernoulliTraffic(0.3, 0.12),
-		Slots:     2000,
-		Seed:      7,
-	}
-	seq, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4} {
-		cfg.Parallel = w
-		par, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(par, seq) {
-			t.Fatalf("Parallel=%d changed the report:\n%+v\n%+v", w, par, seq)
-		}
-	}
-	cfg = Config{Ports: 8, Scheduler: FIFOMS, Traffic: BernoulliTraffic(0.3, 0.25), Slots: 100, Parallel: 4}
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Topology") {
-		t.Fatalf("Parallel without Topology accepted (err=%v)", err)
 	}
 }
 
