@@ -93,7 +93,8 @@ func TestCleanRunAllArchitectures(t *testing.T) {
 // TestCheckerPassivity pins the checker's core guarantee: wrapping a
 // switch — observer attached and all — changes no delivery. The other
 // architectures get the same pin through Differential's reference
-// shape; FIFOMS's reference there is the oracle, so pin it here.
+// shape; FIFOMS's and iSLIP's references there are the oracles, so pin
+// it here.
 func TestCheckerPassivity(t *testing.T) {
 	const n, slots, seed = 8, 400, 11
 	pat, err := traffic.BernoulliAtLoad(0.8, 0.3, n)

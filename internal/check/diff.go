@@ -7,6 +7,7 @@ import (
 	"voqsim/internal/check/oracle"
 	"voqsim/internal/core"
 	"voqsim/internal/eslip"
+	"voqsim/internal/sched/islip"
 	"voqsim/internal/sched/pim"
 	"voqsim/internal/traffic"
 	"voqsim/internal/wba"
@@ -15,7 +16,7 @@ import (
 
 // DiffConfig parameterises one differential run.
 type DiffConfig struct {
-	Algo  string  // fifoms | pim | eslip | wba
+	Algo  string  // fifoms | islip | pim | eslip | wba
 	N     int     // switch size
 	Seed  uint64  // master seed (traffic and arbiter substreams derive from it)
 	Slots int64   // slots to simulate (default 400)
@@ -26,9 +27,9 @@ type DiffConfig struct {
 // Differential drives two independent runs of the configured switch on
 // identical seeded Bernoulli traffic and fails on any divergence:
 //
-//   - for "fifoms", the checked production kernel against the checked
-//     naive oracle (internal/check/oracle) — the paper-prose reference
-//     must produce the identical delivery stream;
+//   - for "fifoms" and "islip", the checked production kernel against
+//     the checked naive oracle (internal/check/oracle) — the reference
+//     loop must produce the identical delivery stream;
 //   - for every other algorithm, a checked run against an unchecked
 //     one — pinning the checker's passivity guarantee (wrapping a
 //     switch must not change a single delivery).
@@ -57,8 +58,8 @@ func Differential(cfg DiffConfig) error {
 		return fmt.Errorf("check: %s (checked): %w", cfg.Algo, err)
 	}
 	refAlgo, refChecked := cfg.Algo, false
-	if cfg.Algo == "fifoms" {
-		refAlgo, refChecked = "fifoms-oracle", true
+	if ref, ok := oracleOf[cfg.Algo]; ok {
+		refAlgo, refChecked = ref, true
 	}
 	want, err := runOne(cfg, refAlgo, pat, refChecked)
 	if err != nil {
@@ -70,6 +71,10 @@ func Differential(cfg DiffConfig) error {
 	return nil
 }
 
+// oracleOf names the reference switch Differential compares a kernel
+// against; algorithms without one are compared checked vs. unchecked.
+var oracleOf = map[string]string{"fifoms": "fifoms-oracle", "islip": "islip-oracle"}
+
 // buildSwitch constructs the named switch seeded from root, mirroring
 // the experiment roster's constructors.
 func buildSwitch(algo string, n int, root *xrand.Rand) (Switch, error) {
@@ -78,6 +83,10 @@ func buildSwitch(algo string, n int, root *xrand.Rand) (Switch, error) {
 		return core.NewSwitch(n, &core.FIFOMS{}, root), nil
 	case "fifoms-oracle":
 		return core.NewSwitch(n, oracle.New(), root), nil
+	case "islip":
+		return core.NewSwitch(n, islip.New(), root), nil
+	case "islip-oracle":
+		return core.NewSwitch(n, oracle.NewISLIP(), root), nil
 	case "pim":
 		return core.NewSwitch(n, pim.New(), root), nil
 	case "eslip":

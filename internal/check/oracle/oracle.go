@@ -1,19 +1,20 @@
-// Package oracle is a deliberately naive reference implementation of
-// the FIFOMS arbitration of Pan & Yang §III, transcribed line-for-line
-// from the paper's prose with no regard for speed.
+// Package oracle holds deliberately naive reference arbiters, written
+// for clarity with no regard for speed: FIFOMS transcribed line-for-line
+// from the prose of Pan & Yang §III (this file), and iSLIP as the
+// one-VOQ-at-a-time probe loop (islip.go).
 //
-// It exists purely as the trusted side of the differential harness in
-// internal/check: the production word-parallel kernel (core/fifoms.go)
-// must produce bit-identical matchings — and therefore bit-identical
-// delivery streams — on the same seeds. To make that comparison
-// meaningful the oracle consumes tie-breaking randomness in exactly the
-// paper's order (ascending outputs, ascending inputs, one reservoir
-// draw per equal-timestamp candidate after the first), which is also
-// the order the production kernels are pinned to.
+// They exist purely as the trusted side of the differential harnesses:
+// the production word-parallel kernels (core/fifoms.go,
+// sched/islip) must produce bit-identical matchings — and therefore
+// bit-identical delivery streams — on the same seeds. To make the FIFOMS
+// comparison meaningful the oracle consumes tie-breaking randomness in
+// exactly the paper's order (ascending outputs, ascending inputs, one
+// reservoir draw per equal-timestamp candidate after the first), which
+// is also the order the production kernels are pinned to.
 //
-// Do not optimise this file. Its O(N³)-per-slot rescans of every VOQ
-// head through the virtual HOL accessor are the point: nothing here is
-// clever enough to hide a bug that the fast kernel might share.
+// Do not optimise these files. Their O(N²)–O(N³)-per-slot rescans
+// through the virtual HOL and VOQ accessors are the point: nothing here
+// is clever enough to hide a bug that a fast kernel might share.
 package oracle
 
 import (
